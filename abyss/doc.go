@@ -66,6 +66,17 @@
 // every knob at zero the closed loop is byte-identical to previous
 // releases.
 //
+// Serving inverts the flow: DB.Serve starts a Session on the native
+// runtime, and external callers hand it invocations instead of the
+// engine generating its own. Session.Submit is the primitive: it routes
+// an Invocation to a worker's bounded admission queue and returns at
+// once (ErrShed on a full queue), and its completion callback runs
+// exactly once on the serving worker with the Reply — so a front end
+// can answer many requests without a goroutine or a channel per
+// request, as the abyss1000/serve binary transport does. Session.Invoke
+// is the blocking form, a wait on top of Submit. Drain ends the session
+// and returns the Result with the admission accounting merged in.
+//
 // Correctness is checkable, not assumed: set RunConfig.Check and the run
 // captures every committed transaction's reads and writes as versions
 // (accounting-only, like sampling); DB.CheckSerializability then builds

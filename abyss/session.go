@@ -163,8 +163,9 @@ type ServeCounters struct {
 	Shed uint64 `json:"shed"`
 }
 
-// Session is a live serving run: submit invocations with Invoke, end the
-// run with Drain. Safe for concurrent use by any number of goroutines.
+// Session is a live serving run: submit invocations with Submit (or its
+// blocking form Invoke), end the run with Drain. Safe for concurrent use
+// by any number of goroutines.
 type Session struct {
 	db      *DB
 	wl      Workload
@@ -173,15 +174,13 @@ type Session struct {
 	cfg     ServeConfig
 	workers int
 
-	qs      []chan core.Request
+	qs      []workerQueue
 	qmu     sync.RWMutex // guards qclosed + channel close
 	qclosed bool
 	rr      atomic.Uint64
 
 	offered atomic.Uint64
 	shed    atomic.Uint64
-	hmu     sync.Mutex // guards depth
-	depth   Histogram
 
 	epoch     time.Time // wall-clock instant of runtime cycle 0
 	epochOnce sync.Once
@@ -193,6 +192,16 @@ type Session struct {
 	drainOnce sync.Once
 	mergeOnce sync.Once
 	final     Result
+}
+
+// workerQueue is one worker's admission queue plus the depth histogram
+// of the arrivals it admitted. Each queue has its own lock, so
+// submitters routed to different workers never contend; Drain merges
+// the histograms, as the engine merges Worker.QDepth.
+type workerQueue struct {
+	ch    chan core.Request
+	mu    sync.Mutex // guards depth
+	depth Histogram
 }
 
 // sessionSource adapts the session's queues to core.RequestSource. The
@@ -208,7 +217,7 @@ func (src sessionSource) Next(p Proc) (core.Request, bool) {
 		s.epoch = time.Now().Add(-time.Duration(p.Now()))
 		close(s.ready)
 	})
-	req, ok := <-s.qs[p.ID()]
+	req, ok := <-s.qs[p.ID()].ch
 	return req, ok
 }
 
@@ -239,12 +248,12 @@ func (db *DB) Serve(scheme Scheme, wl Workload, cfg ServeConfig) (*Session, erro
 		wl:      wl,
 		cfg:     cfg,
 		workers: db.Cores(),
-		qs:      make([]chan core.Request, db.Cores()),
+		qs:      make([]workerQueue, db.Cores()),
 		ready:   make(chan struct{}),
 		done:    make(chan struct{}),
 	}
 	for i := range s.qs {
-		s.qs[i] = make(chan core.Request, depth)
+		s.qs[i].ch = make(chan core.Request, depth)
 	}
 	if m, ok := wl.(*Mix); ok {
 		s.mix = m
@@ -273,8 +282,8 @@ func (db *DB) Serve(scheme Scheme, wl Workload, cfg ServeConfig) (*Session, erro
 		// publish. A normal Drain closes the queues first and the
 		// workers empty them before exiting.
 		s.closeQueues()
-		for _, q := range s.qs {
-			for req := range q {
+		for i := range s.qs {
+			for req := range s.qs[i].ch {
 				if req.Done != nil {
 					req.Done(ErrSessionClosed)
 				}
@@ -302,8 +311,8 @@ func (s *Session) closeQueues() {
 		return
 	}
 	s.qclosed = true
-	for _, q := range s.qs {
-		close(q)
+	for i := range s.qs {
+		close(s.qs[i].ch)
 	}
 }
 
@@ -376,23 +385,32 @@ func (s *Session) prepare(inv Invocation) (func(p Proc) (Txn, error), error) {
 	}, nil
 }
 
-// submit routes one invocation into a worker queue and returns its
-// arrival stamp. done receives the engine outcome exactly once.
-func (s *Session) submit(inv Invocation, done func(error)) (uint64, error) {
+// Submit routes one invocation to a serving worker and returns without
+// waiting for it. On a nil return, done runs exactly once, on the
+// serving worker's goroutine: with a Reply for every executed or
+// deadline-abandoned invocation, or with an error — ErrSessionClosed
+// for an invocation the drain overtook, or an argument-binding
+// rejection. done runs inside the worker's serving loop, so it must
+// return promptly and never block. A non-nil return (ErrShed,
+// ErrSessionClosed, or a validation error) means the invocation was not
+// admitted and done never runs.
+func (s *Session) Submit(inv Invocation, done func(Reply, error)) error {
 	prepare, err := s.prepare(inv)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if inv.Routed && inv.Partition < 0 {
-		return 0, fmt.Errorf("abyss: Invocation.Partition must not be negative, got %d", inv.Partition)
+		return fmt.Errorf("abyss: Invocation.Partition must not be negative, got %d", inv.Partition)
 	}
 	if inv.Deadline < 0 {
-		return 0, fmt.Errorf("abyss: Invocation.Deadline must not be negative")
+		return fmt.Errorf("abyss: Invocation.Deadline must not be negative")
 	}
 	worker := int(s.rr.Add(1)-1) % s.workers
 	if inv.Routed {
 		worker = inv.Partition % s.workers
 	}
+	// The arrival stamp is taken before the request is queued: once it
+	// is queued, a worker may complete it at any moment.
 	arrival := s.nowCycles()
 	d := inv.Deadline
 	if d == 0 {
@@ -402,26 +420,41 @@ func (s *Session) submit(inv Invocation, done func(error)) (uint64, error) {
 	if d > 0 {
 		deadline = arrival + uint64(d)
 	}
-	req := core.Request{Prepare: prepare, Arrival: arrival, Deadline: deadline, Done: done}
+	req := core.Request{Prepare: prepare, Arrival: arrival, Deadline: deadline, Done: func(err error) {
+		rep := Reply{Elapsed: time.Duration(s.nowCycles() - arrival)}
+		switch err {
+		case nil:
+			rep.Outcome = OutcomeCommitted
+		case ErrUserAbort:
+			rep.Outcome = OutcomeUserAbort
+		case ErrDeadline:
+			rep.Outcome = OutcomeDeadlined
+		default:
+			done(Reply{}, err)
+			return
+		}
+		done(rep, nil)
+	}}
 
+	q := &s.qs[worker]
 	s.qmu.RLock()
 	if s.qclosed {
 		s.qmu.RUnlock()
-		return 0, ErrSessionClosed
+		return ErrSessionClosed
 	}
 	s.offered.Add(1)
 	select {
-	case s.qs[worker] <- req:
-		depth := len(s.qs[worker])
+	case q.ch <- req:
+		depth := len(q.ch)
 		s.qmu.RUnlock()
-		s.hmu.Lock()
-		s.depth.Record(uint64(depth))
-		s.hmu.Unlock()
-		return arrival, nil
+		q.mu.Lock()
+		q.depth.Record(uint64(depth))
+		q.mu.Unlock()
+		return nil
 	default:
 		s.qmu.RUnlock()
 		s.shed.Add(1)
-		return 0, ErrShed
+		return ErrShed
 	}
 }
 
@@ -429,25 +462,18 @@ func (s *Session) submit(inv Invocation, done func(error)) (uint64, error) {
 // is refused. The returned error is ErrShed for admission rejection,
 // ErrSessionClosed once draining, or a validation/binding error; every
 // executed (or deadline-abandoned) invocation returns a Reply instead.
+// It is a wait on top of Submit.
 func (s *Session) Invoke(inv Invocation) (Reply, error) {
-	ch := make(chan error, 1)
-	arrival, err := s.submit(inv, func(err error) { ch <- err })
-	if err != nil {
+	type result struct {
+		rep Reply
+		err error
+	}
+	ch := make(chan result, 1)
+	if err := s.Submit(inv, func(rep Reply, err error) { ch <- result{rep, err} }); err != nil {
 		return Reply{}, err
 	}
-	err = <-ch
-	rep := Reply{Elapsed: time.Duration(s.nowCycles() - arrival)}
-	switch err {
-	case nil:
-		rep.Outcome = OutcomeCommitted
-	case ErrUserAbort:
-		rep.Outcome = OutcomeUserAbort
-	case ErrDeadline:
-		rep.Outcome = OutcomeDeadlined
-	default:
-		return Reply{}, err
-	}
-	return rep, nil
+	r := <-ch
+	return r.rep, r.err
 }
 
 // Drain ends the session gracefully: new invocations are refused with
@@ -469,9 +495,12 @@ func (s *Session) Drain() (Result, error) {
 		res.MeasureCycles = s.nowCycles()
 		res.Offered += s.offered.Load()
 		res.Shed += s.shed.Load()
-		s.hmu.Lock()
-		res.QueueDepth.Merge(&s.depth)
-		s.hmu.Unlock()
+		for i := range s.qs {
+			q := &s.qs[i]
+			q.mu.Lock()
+			res.QueueDepth.Merge(&q.depth)
+			q.mu.Unlock()
+		}
 		s.final = res
 	})
 	return s.final, nil

@@ -12,7 +12,7 @@ import (
 	"abyss1000/abyss"
 )
 
-func serveYCSB(t *testing.T, cores int) (*abyss.DB, abyss.Workload, abyss.Scheme) {
+func serveYCSB(t testing.TB, cores int) (*abyss.DB, abyss.Workload, abyss.Scheme) {
 	t.Helper()
 	db, err := abyss.Open(abyss.Options{Runtime: abyss.RuntimeNative, Cores: cores, Seed: 7})
 	if err != nil {
@@ -92,6 +92,9 @@ func TestSessionInvokeDrain(t *testing.T) {
 	}
 	if res.Shed != 0 {
 		t.Fatalf("Result.Shed = %d, want 0", res.Shed)
+	}
+	if res.QueueDepth.Count() != res.Offered {
+		t.Fatalf("QueueDepth records %d admissions across both workers, want %d", res.QueueDepth.Count(), res.Offered)
 	}
 	if res.MeasureCycles == 0 || res.MeasureCycles >= uint64(1)<<62 {
 		t.Fatalf("MeasureCycles = %d, want the actual serving span", res.MeasureCycles)
@@ -174,7 +177,9 @@ func (t *plainTxn) Run(tx *abyss.TxnCtx) error {
 
 func (t *plainTxn) Partitions() []int { return nil }
 
-func serveMix(t *testing.T, cores int) (*abyss.DB, *abyss.Mix) {
+// serveMix builds a two-procedure Mix ("touch", "plain") over a 64-row
+// table, plus any extra procedures.
+func serveMix(t *testing.T, cores int, extra ...abyss.TxnSpec) (*abyss.DB, *abyss.Mix) {
 	t.Helper()
 	db, err := abyss.Open(abyss.Options{Runtime: abyss.RuntimeNative, Cores: cores, Seed: 11})
 	if err != nil {
@@ -197,10 +202,10 @@ func serveMix(t *testing.T, cores int) (*abyss.DB, *abyss.Mix) {
 		table.Schema.PutU64(row, 0, uint64(i))
 		idx.LoadInsert(uint64(i), i)
 	}
-	mix, err := db.NewMix(
-		abyss.TxnSpec{Name: "touch", Weight: 1, New: func(int) abyss.Txn { return &slowTxn{table: table, idx: idx} }},
-		abyss.TxnSpec{Name: "plain", Weight: 1, New: func(int) abyss.Txn { return &plainTxn{table: table, idx: idx} }},
-	)
+	mix, err := db.NewMix(append([]abyss.TxnSpec{
+		{Name: "touch", Weight: 1, New: func(int) abyss.Txn { return &slowTxn{table: table, idx: idx} }},
+		{Name: "plain", Weight: 1, New: func(int) abyss.Txn { return &plainTxn{table: table, idx: idx} }},
+	}, extra...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,4 +355,187 @@ func TestServeValidation(t *testing.T) {
 	if _, err := db.Serve(scheme2, wl2, abyss.ServeConfig{}); err == nil || !strings.Contains(err.Error(), "already ran") {
 		t.Fatalf("second Serve err = %v, want already-ran", err)
 	}
+}
+
+// abortTxn always rolls back by program logic.
+type abortTxn struct{}
+
+func (abortTxn) Run(*abyss.TxnCtx) error { return abyss.ErrUserAbort }
+func (abortTxn) Partitions() []int       { return nil }
+
+// parkTxn holds its worker: it reports that it started, then waits to
+// be released.
+type parkTxn struct{ started, release chan struct{} }
+
+func (p parkTxn) Run(*abyss.TxnCtx) error {
+	p.started <- struct{}{}
+	<-p.release
+	return nil
+}
+
+func (parkTxn) Partitions() []int { return nil }
+
+// TestSessionSubmit pins the asynchronous contract: on a nil return,
+// done runs exactly once for every outcome — committed, user abort,
+// deadlined, and ErrSessionClosed for an invocation still queued when
+// the run ends — and on a non-nil return it never runs.
+func TestSessionSubmit(t *testing.T) {
+	park := parkTxn{started: make(chan struct{}, 1), release: make(chan struct{})}
+	db, mix := serveMix(t, 1,
+		abyss.TxnSpec{Name: "abort", Weight: 1, New: func(int) abyss.Txn { return abortTxn{} }},
+		abyss.TxnSpec{Name: "park", Weight: 1, New: func(int) abyss.Txn { return park }})
+	scheme, err := abyss.NewScheme("NO_WAIT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := db.Serve(scheme, mix, abyss.ServeConfig{QueueDepth: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type call struct {
+		n   atomic.Int32
+		rep abyss.Reply
+		err error
+	}
+	var calls []*call
+	var wg sync.WaitGroup
+	submit := func(inv abyss.Invocation) error {
+		c := &call{}
+		wg.Add(1)
+		err := s.Submit(inv, func(rep abyss.Reply, err error) {
+			if c.n.Add(1) == 1 {
+				c.rep, c.err = rep, err
+				wg.Done()
+			}
+		})
+		if err != nil {
+			wg.Done()
+			c.err = err
+			c.n.Add(100) // marks a refusal; done must leave it alone
+		}
+		calls = append(calls, c)
+		return err
+	}
+	mustSubmit := func(inv abyss.Invocation) {
+		t.Helper()
+		if err := submit(inv); err != nil {
+			t.Fatalf("Submit(%+v) = %v", inv, err)
+		}
+	}
+
+	mustSubmit(abyss.Invocation{Proc: "touch", Args: []int64{1, 0}})
+	mustSubmit(abyss.Invocation{Proc: "abort"})
+	wg.Wait()
+
+	// Park the worker; an invocation with a 1ns deadline expires in the
+	// queue behind it.
+	mustSubmit(abyss.Invocation{Proc: "park"})
+	<-park.started
+	mustSubmit(abyss.Invocation{Proc: "touch", Args: []int64{3, 0}, Deadline: time.Nanosecond})
+	park.release <- struct{}{}
+	wg.Wait()
+
+	// Park it again and fill the queue; the interrupted run ends before
+	// reaching the queued four, which the drain completes as closed.
+	mustSubmit(abyss.Invocation{Proc: "park"})
+	<-park.started
+	for i := 0; i < 4; i++ {
+		mustSubmit(abyss.Invocation{Proc: "plain"})
+	}
+	if err := submit(abyss.Invocation{Proc: "plain"}); !errors.Is(err, abyss.ErrShed) {
+		t.Fatalf("Submit to a full queue = %v, want ErrShed", err)
+	}
+	if err := submit(abyss.Invocation{Proc: "nope"}); err == nil {
+		t.Fatal("Submit of an unknown procedure succeeded")
+	}
+	db.Interrupt()
+	park.release <- struct{}{}
+	res, err := s.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	if err := submit(abyss.Invocation{}); !errors.Is(err, abyss.ErrSessionClosed) {
+		t.Fatalf("Submit after Drain = %v, want ErrSessionClosed", err)
+	}
+
+	want := []struct {
+		outcome abyss.Outcome
+		err     error
+		refused bool
+	}{
+		{outcome: abyss.OutcomeCommitted},
+		{outcome: abyss.OutcomeUserAbort},
+		{outcome: abyss.OutcomeCommitted}, // parked
+		{outcome: abyss.OutcomeDeadlined},
+		{outcome: abyss.OutcomeCommitted}, // parked, then interrupted
+		{err: abyss.ErrSessionClosed},
+		{err: abyss.ErrSessionClosed},
+		{err: abyss.ErrSessionClosed},
+		{err: abyss.ErrSessionClosed},
+		{err: abyss.ErrShed, refused: true},
+		{refused: true}, // unknown procedure
+		{err: abyss.ErrSessionClosed, refused: true},
+	}
+	if len(calls) != len(want) {
+		t.Fatalf("%d calls, want %d", len(calls), len(want))
+	}
+	for i, w := range want {
+		c := calls[i]
+		switch {
+		case w.refused:
+			if n := c.n.Load(); n != 100 {
+				t.Errorf("call %d: refused with %v, but done ran %d times", i, c.err, n-100)
+			}
+			if w.err != nil && !errors.Is(c.err, w.err) {
+				t.Errorf("call %d: refusal %v, want %v", i, c.err, w.err)
+			}
+		case c.n.Load() != 1:
+			t.Errorf("call %d: done ran %d times, want once", i, c.n.Load())
+		case w.err != nil:
+			if !errors.Is(c.err, w.err) {
+				t.Errorf("call %d: done(%+v, %v), want error %v", i, c.rep, c.err, w.err)
+			}
+		case c.err != nil || c.rep.Outcome != w.outcome:
+			t.Errorf("call %d: done(%+v, %v), want outcome %v", i, c.rep, c.err, w.outcome)
+		}
+	}
+	if res.QueueDepth.Count() != 9 {
+		t.Fatalf("QueueDepth records %d admissions, want 9", res.QueueDepth.Count())
+	}
+	if res.Commits != 4 || res.Deadlined != 1 || res.Shed != 1 {
+		t.Fatalf("Result commits/deadlined/shed = %d/%d/%d, want 4/1/1 (user aborts count as commits)", res.Commits, res.Deadlined, res.Shed)
+	}
+}
+
+// BenchmarkSessionSubmit measures one anonymous YCSB invocation through
+// Session.Submit on two native workers, with every submitting goroutine
+// reusing one completion callback: allocs/op is the session's own cost
+// per request.
+func BenchmarkSessionSubmit(b *testing.B) {
+	db, wl, scheme := serveYCSB(b, 2)
+	s, err := db.Serve(scheme, wl, abyss.ServeConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Drain()
+	b.SetParallelism(8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		replies := make(chan error, 1)
+		done := func(_ abyss.Reply, err error) { replies <- err }
+		for pb.Next() {
+			if err := s.Submit(abyss.Invocation{}, done); err != nil {
+				b.Error(err)
+				return
+			}
+			if err := <-replies; err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+	b.StopTimer()
 }

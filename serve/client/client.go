@@ -12,7 +12,6 @@ import (
 	"net"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"abyss1000/serve"
@@ -89,16 +88,30 @@ func (c *httpConn) Close() error {
 
 // binConn is one pipelined binary connection: requests carry ids, a
 // single reader goroutine demultiplexes replies to their waiters.
+//
+// Writes combine: each Invoke frames its request into the shared out
+// buffer, and the first caller that finds no write in progress becomes
+// the writer. It hands everything queued to the socket in one Write,
+// and keeps writing while other callers append during the syscall — so
+// many concurrent callers pay for one syscall, not one each.
 type binConn struct {
-	conn   net.Conn
-	wmu    sync.Mutex // serializes request frames
-	nextID atomic.Uint64
+	conn  net.Conn
+	calls sync.Pool // of chan result, each reused once its reply is read
 
 	mu      sync.Mutex
-	pending map[uint64]chan serve.InvokeReply
-	readErr error
+	nextID  uint64
+	out     []byte // framed requests not yet handed to the socket
+	spare   []byte // the other buffer, reused by the next swap
+	writing bool   // a caller is writing out; it will take what is appended meanwhile
+	pending map[uint64]chan result
+	err     error // first transport error; every later Invoke fails with it
 	closed  bool
-	done    chan struct{}
+}
+
+// result is one waiter's answer: a reply, or the transport error.
+type result struct {
+	rep serve.InvokeReply
+	err error
 }
 
 // DialBinary opens one binary-protocol connection.
@@ -107,13 +120,14 @@ func DialBinary(addr string) (Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &binConn{
-		conn:    conn,
-		pending: make(map[uint64]chan serve.InvokeReply),
-		done:    make(chan struct{}),
-	}
+	return newBinConn(conn), nil
+}
+
+func newBinConn(conn net.Conn) *binConn {
+	c := &binConn{conn: conn, pending: make(map[uint64]chan result)}
+	c.calls.New = func() any { return make(chan result, 1) }
 	go c.readLoop()
-	return c, nil
+	return c
 }
 
 // readLoop demultiplexes reply frames until the connection dies, then
@@ -138,62 +152,68 @@ func (c *binConn) readLoop() {
 		delete(c.pending, id)
 		c.mu.Unlock()
 		if ok {
-			ch <- rep // buffered; never blocks
+			ch <- result{rep: rep} // buffered; never blocks
 		}
 	}
 }
 
-// fail poisons the connection: records the first error and wakes every
-// pending Invoke.
+// fail poisons the connection: records the first error and answers
+// every pending waiter with it.
 func (c *binConn) fail(err error) {
 	c.mu.Lock()
-	if c.readErr == nil {
+	defer c.mu.Unlock()
+	c.failLocked(err)
+}
+
+func (c *binConn) failLocked(err error) {
+	if c.err == nil {
 		if c.closed {
-			c.readErr = fmt.Errorf("client: connection closed")
-		} else {
-			c.readErr = err
+			err = fmt.Errorf("client: connection closed")
 		}
-		close(c.done)
+		c.err = err
 	}
-	c.pending = make(map[uint64]chan serve.InvokeReply)
-	c.mu.Unlock()
+	for id, ch := range c.pending {
+		ch <- result{err: c.err}
+		delete(c.pending, id)
+	}
 }
 
 func (c *binConn) Invoke(req serve.InvokeRequest) (serve.InvokeReply, error) {
-	id := c.nextID.Add(1)
-	ch := make(chan serve.InvokeReply, 1)
-
 	c.mu.Lock()
-	if c.readErr != nil {
-		err := c.readErr
+	if c.err != nil {
+		err := c.err
 		c.mu.Unlock()
 		return serve.InvokeReply{}, err
 	}
+	id := c.nextID + 1
+	out, err := serve.AppendRequestFrame(c.out, id, req)
+	if err != nil {
+		c.mu.Unlock()
+		return serve.InvokeReply{}, err
+	}
+	c.nextID, c.out = id, out
+	ch := c.calls.Get().(chan result)
 	c.pending[id] = ch
+	if !c.writing {
+		c.writing = true
+		for len(c.out) > 0 && c.err == nil {
+			batch := c.out
+			c.out, c.spare = c.spare[:0], nil
+			c.mu.Unlock()
+			_, werr := c.conn.Write(batch)
+			c.mu.Lock()
+			c.spare = batch
+			if werr != nil {
+				c.failLocked(werr)
+			}
+		}
+		c.writing = false
+	}
 	c.mu.Unlock()
 
-	payload, err := serve.AppendRequest(make([]byte, 0, 64), id, req)
-	if err == nil {
-		c.wmu.Lock()
-		err = serve.WriteFrame(c.conn, payload)
-		c.wmu.Unlock()
-	}
-	if err != nil {
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-		return serve.InvokeReply{}, err
-	}
-
-	select {
-	case rep := <-ch:
-		return rep, nil
-	case <-c.done:
-		c.mu.Lock()
-		err := c.readErr
-		c.mu.Unlock()
-		return serve.InvokeReply{}, err
-	}
+	r := <-ch
+	c.calls.Put(ch)
+	return r.rep, r.err
 }
 
 func (c *binConn) Close() error {

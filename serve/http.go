@@ -91,7 +91,7 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 			writeReply(w, InvokeReply{Outcome: WireShed})
 			return
 		}
-		defer win.release()
+		defer win.release(1)
 	}
 	var body httpRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxFrame)).Decode(&body); err != nil {

@@ -264,13 +264,17 @@ func ParseReply(payload []byte) (id uint64, rep InvokeReply, err error) {
 }
 
 // ReadFrame reads one length-prefixed frame into buf (grown as needed)
-// and returns the payload slice, valid until the next call.
+// and returns the payload slice, valid until the next call. The length
+// prefix is read into buf too, so a reused buf makes the call
+// allocation-free.
 func ReadFrame(r io.Reader, buf []byte) ([]byte, []byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(buf) < 64 {
+		buf = make([]byte, 64)
+	}
+	if _, err := io.ReadFull(r, buf[:4]); err != nil {
 		return nil, buf, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(buf[:4])
 	if n > MaxFrame {
 		return nil, buf, fmt.Errorf("serve: frame of %d bytes exceeds the %d-byte bound", n, MaxFrame)
 	}
@@ -284,17 +288,27 @@ func ReadFrame(r io.Reader, buf []byte) ([]byte, []byte, error) {
 	return buf, buf, nil
 }
 
-// WriteFrame writes one length-prefixed frame. Callers serialize writes
-// per connection.
-func WriteFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFrame {
-		return fmt.Errorf("serve: frame of %d bytes exceeds the %d-byte bound", len(payload), MaxFrame)
+// AppendRequestFrame appends one complete request frame — length
+// prefix and payload — onto buf, so a connection can queue many frames
+// in one buffer and hand them to the socket in a single write. On error
+// buf is returned unchanged.
+func AppendRequestFrame(buf []byte, id uint64, req InvokeRequest) ([]byte, error) {
+	start := len(buf)
+	out, err := AppendRequest(append(buf, 0, 0, 0, 0), id, req)
+	if err != nil {
+		return buf, err
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+	n := len(out) - start - 4
+	if n > MaxFrame {
+		return buf, fmt.Errorf("serve: frame of %d bytes exceeds the %d-byte bound", n, MaxFrame)
 	}
-	_, err := w.Write(payload)
-	return err
+	binary.BigEndian.PutUint32(out[start:], uint32(n))
+	return out, nil
+}
+
+// AppendReplyFrame appends one complete reply frame — length prefix and
+// payload — onto buf.
+func AppendReplyFrame(buf []byte, id uint64, outcome byte, elapsed time.Duration) []byte {
+	buf = binary.BigEndian.AppendUint32(buf, 8+1+8)
+	return AppendReply(buf, id, outcome, elapsed)
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"strings"
 	"testing"
@@ -83,26 +84,54 @@ func TestReplyRoundTrip(t *testing.T) {
 }
 
 func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	payloads := [][]byte{{1}, {}, bytes.Repeat([]byte{7}, 300)}
-	for _, p := range payloads {
-		if err := WriteFrame(&buf, p); err != nil {
-			t.Fatalf("WriteFrame: %v", err)
-		}
+	reqs := []InvokeRequest{
+		{Partition: -1},
+		{Proc: "touch", Args: []int64{1, -2, 3}, Partition: 5, Deadline: time.Second},
+		{Proc: string(bytes.Repeat([]byte{'p'}, 300)), Partition: -1},
 	}
+	// Frames of both kinds share one buffer, as on a live connection.
+	var buf []byte
+	for i, req := range reqs {
+		var err error
+		if buf, err = AppendRequestFrame(buf, uint64(i), req); err != nil {
+			t.Fatalf("AppendRequestFrame %d: %v", i, err)
+		}
+		buf = AppendReplyFrame(buf, uint64(i), WireCommitted, time.Duration(i))
+	}
+	r := bytes.NewReader(buf)
 	var scratch []byte
-	for i, want := range payloads {
-		got, grown, err := ReadFrame(&buf, scratch)
+	for i, want := range reqs {
+		payload, grown, err := ReadFrame(r, scratch)
 		if err != nil {
-			t.Fatalf("ReadFrame %d: %v", i, err)
+			t.Fatalf("ReadFrame request %d: %v", i, err)
 		}
 		scratch = grown
-		if !bytes.Equal(got, want) {
-			t.Fatalf("frame %d = %v, want %v", i, got, want)
+		id, got, err := ParseRequest(payload)
+		if err != nil || id != uint64(i) || got.Proc != want.Proc || got.Partition != want.Partition ||
+			got.Deadline != want.Deadline || len(got.Args) != len(want.Args) {
+			t.Fatalf("request frame %d = %d %+v, %v; want %+v", i, id, got, err, want)
+		}
+		payload, scratch, err = ReadFrame(r, scratch)
+		if err != nil {
+			t.Fatalf("ReadFrame reply %d: %v", i, err)
+		}
+		if id, rep, err := ParseReply(payload); err != nil || id != uint64(i) || rep.Elapsed != time.Duration(i) {
+			t.Fatalf("reply frame %d = %d %+v, %v", i, id, rep, err)
 		}
 	}
-	if err := WriteFrame(&buf, make([]byte, MaxFrame+1)); err == nil {
-		t.Fatal("WriteFrame accepted an oversized payload")
+	if r.Len() != 0 {
+		t.Fatalf("%d trailing bytes", r.Len())
+	}
+	// A failed append leaves the buffer untouched.
+	before := len(buf)
+	if buf, err := AppendRequestFrame(buf, 9, InvokeRequest{Args: make([]int64, MaxArgs+1)}); err == nil || len(buf) != before {
+		t.Fatalf("AppendRequestFrame accepted %d args (len %d -> %d)", MaxArgs+1, before, len(buf))
+	}
+	// An oversized length prefix poisons the reader.
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], MaxFrame+1)
+	if _, _, err := ReadFrame(bytes.NewReader(hdr[:]), nil); err == nil {
+		t.Fatal("ReadFrame accepted an oversized frame")
 	}
 }
 

@@ -18,10 +18,22 @@
 // Result.Shed, so offered = commits + shed + deadlined holds across the
 // whole serving stack.
 //
+// The binary transport batches its socket work the way the WAL batches
+// fsyncs. Each connection has one reader and one writer goroutine; the
+// reader hands requests to Session.Submit, the engine's completion
+// callback queues the framed reply without a syscall, and the writer
+// hands every queued reply to the socket in one write. A request's
+// window slot is freed when the writer takes its reply, before the
+// write, so a client that waits for a reply before sending again is
+// never shed by its own window. HTTP serves one request per handler
+// with the blocking Session.Invoke.
+//
 // Graceful drain: Shutdown (the SIGTERM path in cmd/abyss-serve) stops
 // accepting connections, refuses new requests with "closed", lets every
-// admitted request finish and flush its reply, drains the session, and
-// returns the final Result. Construct with New, bind with Start.
+// admitted request finish and queue its reply, gives each connection a
+// bounded final flush (a client that stopped reading cannot hold it
+// up), drains the session, and returns the final Result. Construct with
+// New, bind with Start.
 package serve
 
 import (
@@ -88,9 +100,9 @@ type Server struct {
 
 	draining atomic.Bool
 	admit    sync.RWMutex   // orders admission against the drain flag flip
-	inflight sync.WaitGroup // admitted binary dispatches awaiting replies
+	inflight sync.WaitGroup // admitted binary requests awaiting completion
 	conns    sync.Map       // open binary connections -> *connState
-	connWG   sync.WaitGroup // binary connection reader loops
+	connWG   sync.WaitGroup // accept loop plus each connection's reader and writer
 
 	shutdownOnce sync.Once
 	result       abyss.Result
@@ -218,14 +230,19 @@ func reply(rep abyss.Reply, err error) InvokeReply {
 	}
 }
 
-// invoke routes one wire request through the session.
-func (s *Server) invoke(req InvokeRequest) InvokeReply {
+// invocation maps a wire request onto a session invocation.
+func invocation(req InvokeRequest) abyss.Invocation {
 	inv := abyss.Invocation{Proc: req.Proc, Args: req.Args, Deadline: req.Deadline}
 	if req.Partition >= 0 {
 		inv.Routed = true
 		inv.Partition = req.Partition
 	}
-	return reply(s.session.Invoke(inv))
+	return inv
+}
+
+// invoke routes one wire request through the session and waits for it.
+func (s *Server) invoke(req InvokeRequest) InvokeReply {
+	return reply(s.session.Invoke(invocation(req)))
 }
 
 // Shutdown drains gracefully: stop accepting, refuse new requests,
@@ -243,11 +260,19 @@ func (s *Server) Shutdown() (abyss.Result, error) {
 		if s.tcpLn != nil {
 			s.tcpLn.Close()
 		}
-		// Admitted binary dispatches finish against the still-serving
-		// session and write their replies before connections close.
+		// Admitted binary requests finish against the still-serving
+		// session; their completions only queue replies, so this wait
+		// cannot block on a client that stopped reading.
 		s.inflight.Wait()
+		// End every reader now and give each writer flushTimeout to
+		// hand its queued replies to the socket; then it closes.
 		s.conns.Range(func(key, _ any) bool {
-			key.(*connState).close()
+			// Errors are ignored: they come only from a connection
+			// that is already closed, whose goroutines are exiting.
+			c := key.(*connState)
+			now := time.Now()
+			_ = c.conn.SetWriteDeadline(now.Add(flushTimeout))
+			_ = c.conn.SetReadDeadline(now)
 			return true
 		})
 		s.connWG.Wait()
@@ -260,22 +285,23 @@ func (s *Server) Shutdown() (abyss.Result, error) {
 	return s.result, s.shutdownErr
 }
 
-// window is a counting semaphore bounding a connection's inflight
-// requests.
-type window struct{ sem chan struct{} }
-
-func newWindow(n int) *window { return &window{sem: make(chan struct{}, n)} }
-
-func (w *window) tryAcquire() bool {
-	select {
-	case w.sem <- struct{}{}:
-		return true
-	default:
-		return false
-	}
+// window counts a connection's outstanding requests against its bound.
+type window struct {
+	limit int64
+	n     atomic.Int64
 }
 
-func (w *window) release() { <-w.sem }
+func newWindow(limit int) *window { return &window{limit: int64(limit)} }
+
+func (w *window) tryAcquire() bool {
+	if w.n.Add(1) > w.limit {
+		w.n.Add(-1)
+		return false
+	}
+	return true
+}
+
+func (w *window) release(k int64) { w.n.Add(-k) }
 
 // Elapsed-to-wall helpers shared by the transports.
 func elapsedNS(d time.Duration) int64 {

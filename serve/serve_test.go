@@ -18,7 +18,7 @@ import (
 	"abyss1000/serve/client"
 )
 
-func startServer(t *testing.T, scheme string, cores int, sc abyss.ServeConfig, window int) *serve.Server {
+func startServer(t testing.TB, scheme string, cores int, sc abyss.ServeConfig, window int) *serve.Server {
 	t.Helper()
 	srv, err := serve.New(serve.Config{
 		Scheme:   scheme,
