@@ -361,7 +361,9 @@ func (db *DB) OrderedIndex(name string) (*OrderedIndex, error) {
 func CompositeKey(a, b, c, d uint64) uint64 { return index.CompositeKey(a, b, c, d) }
 
 // NewTimestampAllocator builds a timestamp allocator of the given method
-// on this DB's runtime (the §4.3 strategies; see ParseTSMethod).
+// on this DB's runtime (the §4.3 strategies; see ParseTSMethod). Like
+// CreateTable and CreateIndex it belongs to set-up: call it before Go or
+// Run, not from concurrent workers.
 func (db *DB) NewTimestampAllocator(m TSMethod) TSAllocator {
 	return tsalloc.New(m, db.rt)
 }

@@ -9,7 +9,11 @@ import (
 	"abyss1000/internal/cc/to"
 	"abyss1000/internal/cc/twopl"
 	"abyss1000/internal/core"
+	"abyss1000/internal/index"
 	"abyss1000/internal/native"
+	"abyss1000/internal/rt"
+	"abyss1000/internal/sim"
+	"abyss1000/internal/storage"
 	"abyss1000/internal/tsalloc"
 	"abyss1000/internal/workload/tpcc"
 	"abyss1000/internal/workload/ycsb"
@@ -137,5 +141,47 @@ func BenchmarkTxnTPCC(b *testing.B) {
 				b.Fatal("latency histogram recorded nothing; observability path not exercised")
 			}
 		})
+	}
+}
+
+// setupRows is BenchmarkSchemeSetup's table size: large enough that one
+// allocation per row would dwarf the constant part of the budget.
+const setupRows = 1 << 16
+
+// BenchmarkSchemeSetup measures building the per-row and per-bucket
+// synchronization state of one table, per scheme on both runtimes: a
+// hash index over setupRows rows (one latch per bucket) plus the scheme's
+// Setup (one latch, and for some schemes a counter and a pre-sized
+// holder, prewrite or version list, per row). Each iteration starts from
+// a fresh runtime and an unindexed table, built with the timer stopped.
+// Latches and counters come from runtime-owned slabs and per-row lists
+// from one backing array per table, so allocs/op grows with the number
+// of slab chunks (a chunk holds up to 4096 entries), not with rows. CI
+// gates allocs/op against a fixed budget (see .github/workflows/ci.yml).
+func BenchmarkSchemeSetup(b *testing.B) {
+	runtimes := []struct {
+		name string
+		mk   func() rt.Runtime
+	}{
+		{"sim", func() rt.Runtime { return sim.New(4, 42) }},
+		{"native", func() rt.Runtime { return native.New(4, 42) }},
+	}
+	for _, rc := range runtimes {
+		for _, s := range txnSchemes() {
+			b.Run(rc.name+"/"+s.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					r := rc.mk()
+					db := core.NewDB(r)
+					schema := storage.NewSchema("S", storage.Col{Name: "KEY", Width: 8})
+					tab := db.Catalog.Add(schema, setupRows, setupRows, r.NumProcs())
+					scheme := s.mk()
+					b.StartTimer()
+					index.New(r, tab, setupRows)
+					scheme.Setup(db)
+				}
+			})
+		}
 	}
 }

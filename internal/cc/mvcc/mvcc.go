@@ -119,12 +119,16 @@ func (s *MVCC) Setup(db *core.DB) {
 	s.meta = make([][]entry, len(tables))
 	for _, t := range tables {
 		entries := make([]entry, t.Capacity())
+		// Pre-size each chain so a tuple's first versions never allocate
+		// on the write path (commit-time pruning keeps steady-state chains
+		// short, so capacity 2 rarely grows). All chains share one backing
+		// array; the full slice expression caps row i's chain at its own
+		// two slots, so growing it reallocates instead of overwriting row
+		// i+1.
+		vs := make([]version, 2*len(entries))
 		for i := range entries {
 			entries[i].latch = db.RT.NewLatch(uint64(t.ID)<<44 | 0x33<<36 | uint64(i))
-			// Pre-size the chain so a tuple's first versions never
-			// allocate on the write path (commit-time pruning keeps
-			// steady-state chains short, so capacity 2 rarely grows).
-			entries[i].versions = make([]version, 0, 2)
+			entries[i].versions = vs[2*i : 2*i : 2*i+2]
 		}
 		s.meta[t.ID] = entries
 	}

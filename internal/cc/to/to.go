@@ -79,11 +79,14 @@ func (s *TO) Setup(db *core.DB) {
 	s.meta = make([][]tupleTS, len(tables))
 	for _, t := range tables {
 		entries := make([]tupleTS, t.Capacity())
+		// Pre-size each prewrite list so a tuple's first reservation
+		// never allocates on the access path. All lists share one backing
+		// array; the full slice expression caps row i's list at its own
+		// slot, so growing it reallocates instead of overwriting row i+1.
+		ps := make([]pend, len(entries))
 		for i := range entries {
 			entries[i].latch = db.RT.NewLatch(uint64(t.ID)<<44 | 0x70<<36 | uint64(i))
-			// Pre-size the prewrite list so a tuple's first reservation
-			// never allocates on the access path.
-			entries[i].pends = make([]pend, 0, 1)
+			entries[i].pends = ps[i : i : i+1]
 		}
 		s.meta[t.ID] = entries
 	}

@@ -183,11 +183,14 @@ func (s *TwoPL) Setup(db *core.DB) {
 	s.meta = make([][]lockEntry, len(tables))
 	for _, t := range tables {
 		entries := make([]lockEntry, t.Capacity())
+		// Pre-size each holder list so a tuple's first lock grants never
+		// allocate on the access path. All lists share one backing array;
+		// the full slice expression caps row i's list at its own two
+		// slots, so growing it reallocates instead of overwriting row i+1.
+		hs := make([]holder, 2*len(entries))
 		for i := range entries {
 			entries[i].latch = db.RT.NewLatch(uint64(t.ID)<<44 | 0x2B<<36 | uint64(i))
-			// Pre-size the holder list so a tuple's first lock grant
-			// never allocates on the access path.
-			entries[i].holders = make([]holder, 0, 2)
+			entries[i].holders = hs[2*i : 2*i : 2*i+2]
 		}
 		s.meta[t.ID] = entries
 	}

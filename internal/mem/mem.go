@@ -10,6 +10,10 @@
 //   - GlobalPool: a single latch-protected pool standing in for a
 //     centralized malloc; every allocation serializes on one latch. Used
 //     by the malloc ablation benchmark to reproduce the paper's finding.
+//
+// Slab applies the same pooling to long-lived set-up state: the runtimes
+// carve every latch and counter from one, so a database with millions of
+// rows and index buckets does not make one heap allocation per latch.
 package mem
 
 import (
@@ -99,3 +103,29 @@ func (ga *globalAlloc) Alloc(p rt.Proc, c stats.Component, n int) []byte {
 
 // Reset implements Allocator (a no-op: the global pool frees eagerly).
 func (ga *globalAlloc) Reset() {}
+
+// Slab chunk sizes, in entries. The first chunk is small so a tiny
+// database does not pay for a full one; each refill doubles up to the cap.
+const (
+	slabMinChunk = 16
+	slabMaxChunk = 4096
+)
+
+// Slab carves zeroed T values from chunks it owns, so objects created by
+// the million at set-up time (per-row and per-bucket latches, per-row
+// counters) cost one heap allocation per chunk instead of one each — the
+// set-up-time face of the §4.1 malloc wall. Values are never moved or
+// freed individually: a chunk lives until nothing points into it. Not
+// safe for concurrent use.
+type Slab[T any] struct {
+	chunk []T
+}
+
+// New returns a pointer to a fresh zero T.
+func (s *Slab[T]) New() *T {
+	if len(s.chunk) == cap(s.chunk) {
+		s.chunk = make([]T, 0, min(max(2*cap(s.chunk), slabMinChunk), slabMaxChunk))
+	}
+	s.chunk = s.chunk[:len(s.chunk)+1]
+	return &s.chunk[len(s.chunk)-1]
+}

@@ -164,24 +164,35 @@ func (c *Chip) TransferCost(home, owner, to int) uint64 {
 // cores spin on it — the paper's central observation about mutexes and
 // atomic timestamp allocation.
 //
+// A Line is a small value (24 bytes; tile ids are int32) meant to be
+// embedded in the primitive it models: MakeLine returns one by value so a
+// latch or counter carved from a slab carries its line with no second
+// allocation. NewLine is the heap-allocated form.
+//
 // Line is not itself synchronized; the simulator's cooperative scheduler
 // guarantees at most one core manipulates it at a time.
 type Line struct {
 	chip      *Chip
-	home      int    // directory tile for this line
-	owner     int    // tile currently owning the line exclusively
+	home      int32  // directory tile for this line
+	owner     int32  // tile currently owning the line exclusively
 	busyUntil uint64 // simulated time the line next becomes free
 }
 
-// NewLine creates a line homed (by address hash) and initially owned at
+// MakeLine returns a line homed (by address hash) and initially owned at
 // its directory tile for key.
+func MakeLine(chip *Chip, key uint64) Line {
+	home := int32(chip.HomeTile(key))
+	return Line{chip: chip, home: home, owner: home}
+}
+
+// NewLine is MakeLine on the heap.
 func NewLine(chip *Chip, key uint64) *Line {
-	home := chip.HomeTile(key)
-	return &Line{chip: chip, home: home, owner: home}
+	l := MakeLine(chip, key)
+	return &l
 }
 
 // Owner returns the current owning tile (for tests).
-func (l *Line) Owner() int { return l.owner }
+func (l *Line) Owner() int { return int(l.owner) }
 
 // Exclusive performs an exclusive (write/RMW) access by `tile` issued at
 // local time `now`, returning the completion time. It serializes with other
@@ -191,8 +202,8 @@ func (l *Line) Exclusive(tile int, now uint64) uint64 {
 	if l.busyUntil > start {
 		start = l.busyUntil
 	}
-	done := start + l.chip.TransferCost(l.home, l.owner, tile)
-	l.owner = tile
+	done := start + l.chip.TransferCost(int(l.home), int(l.owner), tile)
+	l.owner = int32(tile)
 	l.busyUntil = done
 	return done
 }
@@ -208,10 +219,10 @@ func (l *Line) Read(tile int, now uint64) uint64 {
 	if l.busyUntil > start {
 		start = l.busyUntil
 	}
-	if l.owner == tile {
+	if int(l.owner) == tile {
 		return start + L1Cycles
 	}
-	return start + uint64(L2BaseCycles+2*HopCycles*l.chip.Hops(l.owner, tile))
+	return start + uint64(L2BaseCycles+2*HopCycles*l.chip.Hops(int(l.owner), tile))
 }
 
 // CenterService models the hardware counter's serialization point: requests

@@ -18,6 +18,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"abyss1000/internal/mem"
 	"abyss1000/internal/rt"
 	"abyss1000/internal/stats"
 )
@@ -28,6 +29,11 @@ type Runtime struct {
 	seed  int64
 	start time.Time
 	procs []*Proc
+
+	// latches and counters back NewLatch/NewCounter, one slab entry per
+	// row or index bucket instead of one heap object each.
+	latches  mem.Slab[latch]
+	counters mem.Slab[counter]
 }
 
 // New creates a native runtime with n worker goroutines. n should not
@@ -81,10 +87,10 @@ func (r *Runtime) Unpark(waker rt.Proc, target rt.Proc) {
 }
 
 // NewLatch implements rt.Runtime.
-func (r *Runtime) NewLatch(key uint64) rt.Latch { return &latch{} }
+func (r *Runtime) NewLatch(key uint64) rt.Latch { return r.latches.New() }
 
 // NewCounter implements rt.Runtime.
-func (r *Runtime) NewCounter(key uint64) rt.Counter { return &counter{} }
+func (r *Runtime) NewCounter(key uint64) rt.Counter { return r.counters.New() }
 
 // NewHardwareCounter implements rt.Runtime. Real CPUs have no center-of-chip
 // fetch-add unit (the paper's point); the closest native equivalent is the

@@ -117,12 +117,18 @@ type Runtime interface {
 	// NumProcs returns the number of logical cores.
 	NumProcs() int
 
-	// NewLatch allocates a latch. key identifies the protected object
+	// NewLatch returns a new latch. key identifies the protected object
 	// (the simulator uses it to place the latch's cache line on a home
 	// tile deterministically).
+	//
+	// Latches and counters are carved from slabs the runtime owns and
+	// live as long as the runtime: callers must not expect separate heap
+	// objects (no finalizers, no per-latch freeing). Construction
+	// happens at set-up time and is not safe for concurrent use.
 	NewLatch(key uint64) Latch
 
-	// NewCounter allocates a shared counter placed by key.
+	// NewCounter returns a new shared counter placed by key, carved from
+	// a runtime-owned slab like NewLatch.
 	NewCounter(key uint64) Counter
 
 	// NewHardwareCounter allocates the paper's proposed center-of-chip

@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"abyss1000/internal/mem"
 	"abyss1000/internal/mesh"
 	"abyss1000/internal/rt"
 	"abyss1000/internal/stats"
@@ -50,6 +51,12 @@ type Engine struct {
 	doneCh    chan struct{}
 	started   bool
 	stalled   bool
+
+	// latches and counters back NewLatch/NewCounter: a database creates
+	// one latch per row and per index bucket, so each is carved from a
+	// slab rather than allocated on its own.
+	latches  mem.Slab[latch]
+	counters mem.Slab[counter]
 }
 
 // New creates an engine simulating n cores with the given RNG seed.
@@ -195,6 +202,10 @@ type Proc struct {
 	parkedAt    uint64
 	permit      bool
 	wakePending bool
+
+	// nextWaiter links the proc into the FIFO of the one latch it is
+	// parked on; nil when it is last in line or not waiting.
+	nextWaiter *Proc
 }
 
 var _ rt.Proc = (*Proc)(nil)
@@ -329,16 +340,22 @@ func (e *Engine) Unpark(waker rt.Proc, target rt.Proc) {
 // latch is the simulated rt.Latch: a test-and-set word on a shared cache
 // line with a FIFO waiter queue. Contended acquisition parks the caller;
 // release hands the latch directly to the head waiter (no thundering herd).
+//
+// The queue is intrusive: head and tail point at parked procs, linked
+// through Proc.nextWaiter. A parked proc waits on exactly one latch, so one
+// link per proc suffices and queueing allocates nothing. With the cache
+// line embedded by value, a latch is one 48-byte slab entry.
 type latch struct {
-	eng     *Engine
-	line    *mesh.Line
-	holder  *Proc
-	waiters []*Proc
+	line       mesh.Line
+	holder     *Proc
+	head, tail *Proc
 }
 
 // NewLatch implements rt.Runtime.
 func (e *Engine) NewLatch(key uint64) rt.Latch {
-	return &latch{eng: e, line: mesh.NewLine(e.chip, key)}
+	l := e.latches.New()
+	l.line = mesh.MakeLine(e.chip, key)
+	return l
 }
 
 // Acquire implements rt.Latch.
@@ -354,7 +371,12 @@ func (l *latch) Acquire(p rt.Proc, c stats.Component) {
 	if l.holder == sp {
 		panic("sim: latch is not reentrant")
 	}
-	l.waiters = append(l.waiters, sp)
+	if l.tail == nil {
+		l.head = sp
+	} else {
+		l.tail.nextWaiter = sp
+	}
+	l.tail = sp
 	sp.Park(c)
 	// The releaser made us the holder before unparking us.
 }
@@ -367,15 +389,17 @@ func (l *latch) Release(p rt.Proc, c stats.Component) {
 	}
 	done := l.line.Exclusive(sp.id, sp.now)
 	sp.Tick(c, done-sp.now)
-	if len(l.waiters) == 0 {
-		l.holder = nil
+	next := l.head
+	l.holder = next
+	if next == nil {
 		return
 	}
-	next := l.waiters[0]
-	copy(l.waiters, l.waiters[1:])
-	l.waiters = l.waiters[:len(l.waiters)-1]
-	l.holder = next
-	l.eng.Unpark(sp, next)
+	l.head = next.nextWaiter
+	if l.head == nil {
+		l.tail = nil
+	}
+	next.nextWaiter = nil
+	sp.eng.Unpark(sp, next)
 }
 
 // counter is the simulated rt.Counter: an atomic fetch-add word on a shared
@@ -384,13 +408,15 @@ func (l *latch) Release(p rt.Proc, c stats.Component) {
 // the cross-chip round trip caps throughput near 10M ops/s at 1 GHz,
 // reproducing the paper's Fig. 6 arithmetic.
 type counter struct {
-	line  *mesh.Line
+	line  mesh.Line
 	value uint64
 }
 
 // NewCounter implements rt.Runtime.
 func (e *Engine) NewCounter(key uint64) rt.Counter {
-	return &counter{line: mesh.NewLine(e.chip, key)}
+	c := e.counters.New()
+	c.line = mesh.MakeLine(e.chip, key)
+	return c
 }
 
 // Add implements rt.Counter.

@@ -172,6 +172,104 @@ func TestLatchMutualExclusionAndFIFO(t *testing.T) {
 	}
 }
 
+// TestLatchFIFOAcrossLatches: contended procs acquire a latch in arrival
+// order, then queue on a second latch carved from the same slab chunk in
+// a different order (0, then n-1 down to 1). Proc 1 ends the second queue
+// but sat mid-queue on the first, so a nextWaiter link left over from the
+// first hand-off would pass the second latch on to a proc that is not
+// waiting for it.
+func TestLatchFIFOAcrossLatches(t *testing.T) {
+	const n = 8
+	e := New(n, 1)
+	a, b := e.NewLatch(1), e.NewLatch(2)
+	var first, second []int
+	e.Run(func(p rt.Proc) {
+		id := p.ID()
+		p.Tick(stats.Useful, uint64(id)) // arrive at a in id order
+		a.Acquire(p, stats.Manager)
+		first = append(first, id)
+		p.Sync(stats.Useful, 100) // hold across a yield
+		a.Release(p, stats.Manager)
+
+		arrive := uint64(100_000)
+		if id > 0 {
+			arrive += uint64(n-id) * 10
+		}
+		p.Tick(stats.Useful, arrive-p.Now())
+		b.Acquire(p, stats.Manager)
+		second = append(second, id)
+		p.Sync(stats.Useful, 100)
+		b.Release(p, stats.Manager)
+	})
+	wantSecond := []int{0}
+	for id := n - 1; id > 0; id-- {
+		wantSecond = append(wantSecond, id)
+	}
+	for i := 0; i < n; i++ {
+		if len(first) != n || first[i] != i {
+			t.Fatalf("first latch grant order %v, want arrival order 0..%d", first, n-1)
+		}
+		if len(second) != n || second[i] != wantSecond[i] {
+			t.Fatalf("second latch grant order %v, want arrival order %v", second, wantSecond)
+		}
+	}
+	id := func(p *Proc) int {
+		if p == nil {
+			return -1
+		}
+		return p.id
+	}
+	for i, l := range []rt.Latch{a, b} {
+		if l := l.(*latch); l.holder != nil || l.head != nil || l.tail != nil {
+			t.Errorf("latch %d left held by proc %d with queue %d..%d", i, id(l.holder), id(l.head), id(l.tail))
+		}
+	}
+	for i := 0; i < n; i++ {
+		if next := e.Proc(i).nextWaiter; next != nil {
+			t.Errorf("proc %d still links to waiter %d", i, next.id)
+		}
+	}
+}
+
+// TestLatchMisusePanics: re-acquiring a held latch and releasing one held
+// by another proc are protocol bugs and panic.
+func TestLatchMisusePanics(t *testing.T) {
+	cases := []struct {
+		name string
+		body func(l rt.Latch, p rt.Proc) // runs on proc 1 while proc 0 holds l
+		want string
+	}{
+		{"reentrant acquire", func(l rt.Latch, p rt.Proc) {
+			l.Acquire(p, stats.Manager)
+			l.Acquire(p, stats.Manager)
+		}, "sim: latch is not reentrant"},
+		{"release by non-holder", func(l rt.Latch, p rt.Proc) {
+			l.Release(p, stats.Manager)
+		}, "sim: latch released by non-holder"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			e := New(2, 1)
+			l := e.NewLatch(1)
+			var got any
+			e.Run(func(p rt.Proc) {
+				if p.ID() == 0 {
+					l.Acquire(p, stats.Manager)
+					p.Sync(stats.Useful, 10_000)
+					l.Release(p, stats.Manager)
+					return
+				}
+				p.Tick(stats.Useful, 5_000) // while proc 0 holds l
+				defer func() { got = recover() }()
+				c.body(l, p)
+			})
+			if got != c.want {
+				t.Fatalf("panic = %v, want %q", got, c.want)
+			}
+		})
+	}
+}
+
 func TestCounterAtomicity(t *testing.T) {
 	e := New(16, 1)
 	c := e.NewCounter(2)
